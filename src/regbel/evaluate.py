@@ -13,10 +13,10 @@ from fractions import Fraction
 import numpy as np
 
 from .regression import InitialBeliefExpr, regress_belief, regress_term
-from .simplify import fold, to_piecewise
+from .simplify import _conjuncts, fold, to_piecewise
 from .syntax import (
     And, App, Atom, Cond, Const, Exists, Fluent, Formula, Lit, Not, Num, Or,
-    S0, Situation, TRUE, Term, Var, free_vars,
+    REL_OPS, S0, Situation, TRUE, Term, Var, free_vars,
 )
 from .theory import ActionTheory, RealInterval
 
@@ -41,6 +41,11 @@ class NoSupportError(EvalError):
 
 @dataclass
 class EvalResult:
+    """A belief value with its numerator and normalization factor.  ``cells``
+    is, for an exact sum, the number of valuations enumerated, summed over
+    the independent fluent groups; for an integral, the number of quadrature
+    subintervals accepted."""
+
     value: Fraction | float
     numerator: Fraction | float
     gamma: Fraction | float
@@ -132,9 +137,7 @@ def eval_formula_at(phi: Formula, env: dict | None = None,
         case Lit(value):
             return value
         case Atom(rel, l, r):
-            a, b = eval_term_at(l, env, val), eval_term_at(r, env, val)
-            return {"=": a == b, "!=": a != b, "<": a < b,
-                    "<=": a <= b, ">": a > b, ">=": a >= b}[rel]
+            return REL_OPS[rel](eval_term_at(l, env, val), eval_term_at(r, env, val))
         case And(items):
             return all(eval_formula_at(f, env, val) for f in items)
         case Or(items):
@@ -150,31 +153,106 @@ def eval_formula_at(phi: Formula, env: dict | None = None,
 # ---------------------------------------------------------------------------
 # discrete evaluation
 
+def _factors_of(t: Term) -> list[Term]:
+    if isinstance(t, App) and t.op == "*":
+        return [p for a in t.args for p in _factors_of(a)]
+    return [t]
+
+
+@dataclass
+class _Group:
+    """Value variables coupled by some weight factor or conjunct, with the
+    parts that mention them."""
+
+    names: list[str]
+    weights: list[Term] = field(default_factory=list)
+    gamma_parts: list[Formula] = field(default_factory=list)
+    cond_parts: list[Formula] = field(default_factory=list)
+
+
+def _group_parts(names: list[str], weights, gamma_parts, cond_parts):
+    """Partition the value variables into groups that no part couples and
+    attach each part to its group.  Returns the groups and a group without
+    variables that holds the variable-free parts."""
+    known = set(names)
+    blocks: list[set[str]] = [{n} for n in names]
+    for p in (*weights, *gamma_parts, *cond_parts):
+        vs = free_vars(p) & known
+        if vs:
+            joined = [b for b in blocks if b & vs]
+            blocks = [b for b in blocks if not b & vs] + [set().union(*joined)]
+    groups = [_Group([n for n in names if n in b]) for b in blocks]
+    group_of = {n: g for g in groups for n in g.names}
+    free = _Group([])
+
+    def home(p) -> _Group:
+        vs = free_vars(p) & known
+        return group_of[next(iter(vs))] if vs else free
+
+    for p in weights:
+        home(p).weights.append(p)
+    for p in gamma_parts:
+        home(p).gamma_parts.append(p)
+    for p in cond_parts:
+        home(p).cond_parts.append(p)
+    return groups, free
+
+
+def _masses(g: _Group, domains: dict):
+    """Summed weight of the group's valuations that satisfy its gamma
+    conjuncts, of those that also satisfy its condition conjuncts, and the
+    number of valuations enumerated."""
+    gamma = numerator = Fraction(0)
+    cells = 0
+    for combo in itertools.product(*(domains[n] for n in g.names)):
+        env = dict(zip(g.names, combo))
+        cells += 1
+        weight = Fraction(1)
+        for w in g.weights:
+            weight = weight * eval_term_at(w, env)
+            if weight == 0:
+                break
+        if weight == 0:
+            continue
+        if all(eval_formula_at(p, env) for p in g.gamma_parts):
+            gamma += weight
+            if all(eval_formula_at(p, env) for p in g.cond_parts):
+                numerator += weight
+    return gamma, numerator, cells
+
+
 def eval_belief_discrete(theory: ActionTheory, e: InitialBeliefExpr) -> EvalResult:
-    """Exact rational enumeration over the product of finite domains."""
-    axes = []
+    """Exact rational sum over the finite domains, factored: the weight is
+    split at top-level ``*`` and both conditions at top-level ``and``, value
+    variables that share a part form a group, and each group is enumerated
+    once for its gamma and numerator masses.  The masses are the products of
+    the per-group masses; a variable no part mentions contributes its domain
+    size."""
+    domains = {}
     for v in e.vars:
         domain = theory.fluent(v.fluent).domain
         if not domain.is_finite:
             raise EvalError(f"fluent {v.fluent} is not finite-domain")
-        axes.append([(v.name, value) for value in domain.values()])
-    numerator = Fraction(0)
-    gamma = Fraction(0)
+        domains[v.name] = domain.values()
+    gamma_parts = _conjuncts(e.gamma_condition)
+    # the numerator only counts valuations that already satisfy gamma
+    cond_parts = [p for p in _conjuncts(e.condition) if p not in gamma_parts]
+    groups, free = _group_parts(list(domains), [*_factors_of(e.prior),
+                                                *(p for f in e.factors
+                                                  for p in _factors_of(f))],
+                                gamma_parts, cond_parts)
+    gamma, numerator, _ = _masses(free, domains)
     cells = 0
-    for combo in itertools.product(*axes):
-        env = dict(combo)
-        cells += 1
-        weight = eval_term_at(e.prior, env)
-        for f in e.factors:
-            if weight == 0:
-                break
-            weight = weight * eval_term_at(f, env)
-        if weight == 0:
+    for g in groups:
+        if gamma == 0:
+            break
+        if not (g.weights or g.gamma_parts or g.cond_parts):
+            size = len(domains[g.names[0]])
+            gamma, numerator = gamma * size, numerator * size
             continue
-        if eval_formula_at(e.gamma_condition, env):
-            gamma += weight
-            if eval_formula_at(e.condition, env):
-                numerator += weight
+        g_gamma, g_numerator, g_cells = _masses(g, domains)
+        gamma, numerator = gamma * g_gamma, numerator * g_numerator
+        cells += g_cells
     if gamma == 0:
         raise UndefinedBeliefError("normalization factor is zero")
     return EvalResult(value=numerator / gamma, numerator=numerator,
@@ -408,10 +486,7 @@ def eval_belief_continuous(theory: ActionTheory, e: InitialBeliefExpr,
             acc_cells[0] += c
             return val
 
-        if idx + 1 == len(vars_left):
-            total, err, cells = _integrate_cells(f, lo, hi, cuts, tol)
-        else:
-            total, err, cells = _integrate_cells(f, lo, hi, cuts, tol)
+        total, err, cells = _integrate_cells(f, lo, hi, cuts, tol)
         return total, err + acc_err[0], cells + acc_cells[0]
 
     gamma, gerr, gcells = mass(e.gamma_condition)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .syntax import (
     And, App, Atom, Cond, Exists, FALSE, Fluent, Formula, Lit, Not, Num, Or,
-    TRUE, Term, Var, conj, disj, fluent_names, free_vars, fresh_name,
+    REL_OPS, TRUE, Term, Var, conj, disj, fluent_names, free_vars, fresh_name,
     substitute, substitute_fluents,
 )
 
@@ -141,7 +141,7 @@ def fold(e):
         case Atom(rel, l, r):
             l, r = fold(l), fold(r)
             if _is_const(l) and _is_const(r):
-                return Lit(_compare(rel, l.value, r.value))
+                return Lit(REL_OPS[rel](l.value, r.value))
             if rel == "=" and l == r:
                 return TRUE
             return _atom_simplify(rel, l, r)
@@ -186,11 +186,6 @@ def fold(e):
                 return b
             return Exists(v, b)
     raise TypeError(f"not an expression: {e!r}")
-
-
-def _compare(rel: str, a, b) -> bool:
-    return {"=": a == b, "!=": a != b, "<": a < b,
-            "<=": a <= b, ">": a > b, ">=": a >= b}[rel]
 
 
 def _fold_app(op: str, args: tuple[Term, ...]) -> Term:

@@ -5,6 +5,7 @@ canonical textual form that round-trips through the parser."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -144,7 +145,9 @@ Term = Union[Num, Var, Const, Fluent, ActionTerm, App, Cond]
 # ---------------------------------------------------------------------------
 # formulas
 
-REL_OPS = ("=", "!=", "<", "<=", ">", ">=")
+# relation name -> comparison on evaluated operands
+REL_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+           "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 @dataclass(frozen=True)

@@ -220,8 +220,9 @@ def parse_theory(text: str) -> ActionTheory:
 
 def validate_theory(theory: ActionTheory) -> list[str]:
     """Structural and numeric sanity checks; appends to and returns the
-    theory's diagnostics list.  Nonnegativity is checked on a sampled grid and
-    the prior's total mass is computed (and must be finite and positive)."""
+    theory's diagnostics list.  Nonnegativity is checked on a sampled grid of
+    the fluents each term mentions, and the prior's total mass is computed
+    (and must be finite and positive)."""
     diags = theory.diagnostics
     names = theory.fluent_names
     if len(set(names)) != len(names):
@@ -286,12 +287,14 @@ def validate_theory(theory: ActionTheory) -> list[str]:
     return diags
 
 
-def _sample_grid(theory: ActionTheory, per_dim: int = 13):
-    """Cartesian grid of valuations over the declared domains (clipped for
-    unbounded intervals)."""
+def _sample_grid(theory: ActionTheory, names, per_dim: int = 13):
+    """Cartesian grid of valuations of the named declared fluents over their
+    domains (clipped for unbounded intervals)."""
     import itertools
     axes = []
     for f in theory.fluents:
+        if f.name not in names:
+            continue
         d = f.domain
         if d.is_finite:
             axes.append([(f.name, v) for v in d.values()])
@@ -306,7 +309,8 @@ def _sample_grid(theory: ActionTheory, per_dim: int = 13):
 
 def _check_nonnegative(theory: ActionTheory, expr: Term, what: str, extra_var: str | None = None):
     from .evaluate import EvalError, eval_term_at
-    for val in _sample_grid(theory):
+    # the value of expr depends only on the fluents it mentions
+    for val in _sample_grid(theory, fluent_names(expr)):
         extras = [Fraction(0)]
         if extra_var is not None:
             extras = [Fraction(k) for k in range(-12, 25, 3)]

@@ -30,3 +30,15 @@ def regressed(theory, query: str, after: str = ""):
     phi = parse_formula(query, fluents=theory.fluent_names)
     situation = parse_action_sequence(after)
     return regress_belief(theory, phi, situation)
+
+
+# Three integer fluents of 31 values each; only a is sensed, the prior couples
+# a with b, and c is coupled with nothing.
+THREE_INT = """
+fluent a : int in [0, 30]
+fluent b : int in [0, 30]
+fluent c : int in [0, 30]
+action shift(k: int) { b := min(30, b + k); c := max(0, c - k) }
+sensor sa(z: int) on a { if abs(a - z) <= 2 then 1/5 else 0 }
+prior { if a <= b then 2 else 1 }
+"""

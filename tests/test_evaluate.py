@@ -1,16 +1,19 @@
 """Numeric evaluation: exact discrete summation, breakpoint-aware quadrature,
 the Monte Carlo oracle, and density profiles."""
 
+import dataclasses
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from regbel import (
-    FALSE, Situation, TRUE, UndefinedBeliefError, density_profile, eval_belief,
+    FALSE, And, Situation, TRUE, UndefinedBeliefError, density_profile, eval_belief,
     eval_belief_continuous, eval_belief_discrete, eval_formula_at,
-    eval_term_at, mc_oracle, parse_theory, profile_csv,
+    eval_term_at, free_vars, mc_oracle, parse_theory, profile_csv,
 )
 from regbel.evaluate import (
     EvalError, NoSupportError, UnsupportedExistentialError, compile_formula,
@@ -18,7 +21,7 @@ from regbel.evaluate import (
 )
 from regbel.parser import parse_action_sequence, parse_formula, parse_term
 
-from conftest import belief, regressed
+from conftest import THREE_INT, belief, regressed
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +84,128 @@ def test_discrete_requires_finite_domains(discrete, continuous):
     expr, _ = regressed(continuous, "h <= 5")
     with pytest.raises(EvalError):
         eval_belief_discrete(continuous, expr)
+
+
+# ---------------------------------------------------------------------------
+# factored enumeration against the full product
+
+def _full_product(theory, e):
+    """Numerator and gamma by enumerating every valuation of every variable."""
+    axes = [[(v.name, x) for x in theory.fluent(v.fluent).domain.values()]
+            for v in e.vars]
+    numerator = gamma = Fraction(0)
+    for combo in itertools.product(*axes):
+        env = dict(combo)
+        weight = eval_term_at(e.prior, env)
+        for f in e.factors:
+            weight *= eval_term_at(f, env)
+        if weight and eval_formula_at(e.gamma_condition, env):
+            gamma += weight
+            if eval_formula_at(e.condition, env):
+                numerator += weight
+    return numerator, gamma
+
+
+def _assert_matches_full_product(theory, e):
+    numerator, gamma = _full_product(theory, e)
+    if gamma == 0:
+        with pytest.raises(UndefinedBeliefError):
+            eval_belief_discrete(theory, e)
+        return None
+    r = eval_belief_discrete(theory, e)
+    assert isinstance(r.value, Fraction)
+    assert (r.numerator, r.gamma, r.value) == (numerator, gamma, numerator / gamma)
+    return r
+
+
+def _fuzz_discrete(seed: int):
+    """A seeded 2- or 3-fluent integer theory, with queries and histories."""
+    rng = random.Random(seed)
+    names = ["a", "b", "c"][:rng.randint(2, 3)]
+    hi = {n: rng.randint(2, 5) for n in names}
+    if rng.random() < 0.5:
+        prior = f"(if a <= b then {rng.randint(1, 4)} else {rng.randint(1, 4)})"
+    else:
+        prior = (f"(if a <= {rng.randint(0, hi['a'])} then 2 else 1) * "
+                 f"(if b >= {rng.randint(0, hi['b'])} then 1/3 else 1)")
+    if "c" in names and rng.random() < 0.5:
+        prior += f" * (if c = {rng.randint(0, hi['c'])} then 3 else 1)"
+    effects = f"b := min({hi['b']}, b + k)" + ("; c := max(0, c - k)" if "c" in names else "")
+    width = rng.randint(0, 1)
+    theory = parse_theory("\n".join(
+        [f"fluent {n} : int in [0, {hi[n]}]" for n in names]
+        + [f"action shift(k: int) {{ {effects} }}",
+           f"sensor sa(z: int) on a {{ if abs(a - z) <= {width} then 1/{2 * width + 1} else 0 }}",
+           "sensor sb(z: int) on b { if abs(b - z) <= 1 then 1/3 else 1/9 }",
+           f"prior {{ {prior} }}"]))
+    assert theory.diagnostics == [], theory.diagnostics
+    i, j = rng.randint(0, hi["a"]), rng.randint(0, hi["b"])
+    queries = ["true", f"a <= {i} and b >= {j}", f"a <= {i} or b >= {j}",
+               f"a + b <= {i + j}"]
+    if "c" in names:
+        k = rng.randint(0, hi["c"])
+        queries += [f"a <= {i} and c != {k}", f"a >= {i} or c <= {k}",
+                    f"b = {j} and c >= {k}"]
+    steps = [rng.choice([f"sa({rng.randint(0, hi['a'])})",
+                         f"sb({rng.randint(0, hi['b'])})",
+                         f"shift({rng.randint(0, 2)})"])
+             for _ in range(rng.randint(0, 3))]
+    return theory, queries, "; ".join(steps)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_factored_sum_equals_the_full_product(seed):
+    theory, queries, after = _fuzz_discrete(seed)
+    for q in queries:
+        e, _ = regressed(theory, q, after)
+        _assert_matches_full_product(theory, e)
+
+
+def test_factored_sum_skips_a_fluent_mentioned_nowhere():
+    theory = parse_theory(THREE_INT.replace("int in [0, 30]", "int in [0, 4]")
+                          .replace("min(30,", "min(4,"))
+    e, _ = regressed(theory, "a <= 2 and b >= 1", "sa(3); shift(1)")
+    parts = (e.prior, *e.factors, e.condition, e.gamma_condition)
+    assert not any("x_c" in free_vars(p) for p in parts)
+    r = _assert_matches_full_product(theory, e)
+    assert r.cells == 5 * 5  # a and b together; c multiplies by its 5 values
+
+
+def test_factored_sum_splits_conjuncts_and_joins_disjuncts():
+    theory = parse_theory(THREE_INT.replace("int in [0, 30]", "int in [0, 5]")
+                          .replace("min(30,", "min(5,"))
+    split = _assert_matches_full_product(
+        theory, regressed(theory, "a <= 2 and c >= 3", "sa(2)")[0])
+    joined = _assert_matches_full_product(
+        theory, regressed(theory, "a <= 2 or c >= 3", "sa(2)")[0])
+    assert split.cells == 6 * 6 + 6  # {a, b} and {c}
+    assert joined.cells == 6 ** 3  # the disjunct couples c with a and b
+
+
+def test_factored_sum_variable_free_false_conjunct():
+    theory = parse_theory(THREE_INT.replace("int in [0, 30]", "int in [0, 3]")
+                          .replace("min(30,", "min(3,"))
+    e, _ = regressed(theory, "a <= 1 and c >= 2", "sa(1)")
+    never = dataclasses.replace(e, condition=And((e.condition, FALSE)))
+    r = _assert_matches_full_product(theory, never)
+    assert r.value == 0 and r.gamma > 0
+    undefined = dataclasses.replace(e, gamma_condition=And((FALSE, e.gamma_condition)))
+    assert _assert_matches_full_product(theory, undefined) is None
+
+
+def test_factored_sum_zero_mass_group_is_undefined():
+    # no value of a is within 2 of the reading, whatever b and c are
+    theory = parse_theory(THREE_INT)
+    e, _ = regressed(theory, "b <= 3 and c <= 3", "sa(40)")
+    with pytest.raises(UndefinedBeliefError):
+        eval_belief_discrete(theory, e)
+
+
+def test_three_fluent_query_enumerates_each_group_once():
+    theory = parse_theory(THREE_INT)
+    r = belief(theory, "a <= b and c <= 12", "sa(14); shift(3); sa(15)")
+    assert r.value == Fraction(1152, 2945)
+    assert r.cells == 31 * 31 + 31
 
 
 # ---------------------------------------------------------------------------

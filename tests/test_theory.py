@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from regbel import Atom, Fluent, Num, TheoryError, Var
+from regbel import Atom, Fluent, Num, TheoryError, Var, parse_theory
 from regbel.evaluate import eval_term_at
 from regbel.parser import parse_formula, parse_term
 from regbel.syntax import ActionTerm, Const, num
+
+from conftest import THREE_INT
 
 
 def test_ssa_rhs_fwd_binds_argument(discrete):
@@ -83,3 +85,18 @@ def test_bundled_theories_validate_cleanly(discrete, continuous):
 def test_bundled_priors_are_normalized(discrete, continuous):
     assert discrete.prior_mass == Fraction(1)
     assert abs(continuous.prior_mass - 1.0) <= 1e-6
+
+
+def test_three_fluent_prior_mass_is_exact():
+    # sum over a, b of (2 if a <= b else 1), times the 31 values of c
+    theory = parse_theory(THREE_INT)
+    assert theory.diagnostics == []
+    assert theory.prior_mass == 45167
+
+
+def test_negative_likelihood_on_one_of_three_fluents_is_diagnosed():
+    source = THREE_INT.replace("else 0 }", "else (if a = 30 then 0 - 1 else 0) }")
+    assert source != THREE_INT
+    theory = parse_theory(source)
+    assert any(d.startswith("sensor sa likelihood negative")
+               for d in theory.diagnostics), theory.diagnostics

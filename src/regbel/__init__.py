@@ -13,7 +13,7 @@ from .parser import (
 )
 from .regression import (
     InitialBeliefExpr, RegressionError, RegressionTrace, regress_belief,
-    regress_formula, regress_projection, regress_term, step_density,
+    regress_formula, regress_projection, regress_term,
 )
 from .simplify import (
     PiecewiseTerm, fold, normalize_fluent_atoms, one_point_elim, to_piecewise,

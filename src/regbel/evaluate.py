@@ -10,9 +10,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from .regression import InitialBeliefExpr, regress_belief, regress_term
+from .regression import InitialBeliefExpr, regress_belief
 from .simplify import _conjuncts, fold, to_piecewise
 from .syntax import (
     And, App, Atom, Cond, Const, Exists, Fluent, Formula, Lit, Not, Num, Or,
@@ -65,6 +63,11 @@ class OracleEstimate:
 # ---------------------------------------------------------------------------
 # pointwise evaluation
 
+# an exact power with more bits than this would take seconds to minutes
+# (9 ** 9 ** 8 has 136 million), so it is refused instead
+_EXACT_POW_BITS = 1 << 20
+
+
 def _arith(op: str, args):
     a = args[0]
     if op == "neg":
@@ -94,6 +97,9 @@ def _arith(op: str, args):
         if isinstance(a, Fraction) and isinstance(b, Fraction) and b.denominator == 1:
             if a == 0 and b < 0:
                 raise EvalError("zero to a negative power")
+            size = max(a.numerator.bit_length(), a.denominator.bit_length())
+            if size > 1 and abs(b) * size > _EXACT_POW_BITS:
+                raise EvalError("power too large to evaluate exactly")
             return a ** int(b)
         base, ex = float(a), float(b)
         if base < 0 and ex != int(ex):
@@ -347,7 +353,8 @@ def _roots(d: Term, var: str, lo: float, hi: float, env: dict) -> list[float]:
                 return []
             r = lo - d0 * (hi - lo) / (d1 - d0)
             return [r] if lo < r < hi else []
-        xs = np.linspace(lo, hi, _SCAN)
+        step = (hi - lo) / (_SCAN - 1)
+        xs = [lo + i * step for i in range(_SCAN - 1)] + [hi]
         vals = []
         for x in xs:
             try:
@@ -443,7 +450,8 @@ def _bounds_for(domain: RealInterval, boundaries, var, env) -> tuple[float, floa
 def eval_belief_continuous(theory: ActionTheory, e: InitialBeliefExpr,
                            tol: float = 1e-6) -> EvalResult:
     """Region-subdivided adaptive quadrature over the real-valued fluents,
-    summing over finite-domain ones."""
+    summing over the finite-domain ones the expression mentions; each other
+    finite-domain fluent contributes its domain size."""
     cont = [v for v in e.vars if not v.discrete]
     disc = [v for v in e.vars if v.discrete]
     if not cont:
@@ -453,18 +461,25 @@ def eval_belief_continuous(theory: ActionTheory, e: InitialBeliefExpr,
     flags: list[str] = []
 
     same = e.condition == e.gamma_condition
+    # a finite fluent nothing mentions only multiplies both masses by its
+    # domain size; the boundaries derive from these terms, so mention no other
+    mentioned = free_vars(integrand) | free_vars(e.condition) | free_vars(e.gamma_condition)
+    axes, size = [], 1
+    for v in disc:
+        values = theory.fluent(v.fluent).domain.values()
+        if v.name in mentioned:
+            axes.append([(v.name, value) for value in values])
+        else:
+            size *= len(values)
 
     def mass(cond: Formula):
         total, err, cells = 0.0, 0.0, 0
-        axes = [[(v.name, value) for value in theory.fluent(v.fluent).domain.values()]
-                for v in disc]
         for combo in itertools.product(*axes):
-            base_env = {k: v for k, v in combo}
-            v, er, c = _integrate_over(cont, 0, base_env, cond)
+            v, er, c = _integrate_over(cont, 0, dict(combo), cond)
             total += v
             err += er
             cells += c
-        return total, err, cells
+        return total * size, err * size, cells
 
     def _integrate_over(vars_left, idx, env, cond):
         if idx == len(vars_left):
@@ -522,6 +537,7 @@ def _product(terms) -> Term:
 def compile_term(t: Term):
     """Compile a term to a function of a dict of numpy arrays (fluents by name,
     variables by name)."""
+    import numpy as np
     match t:
         case Num(value):
             v = float(value)
@@ -544,6 +560,7 @@ def compile_term(t: Term):
 
 
 def _compile_app(op: str, fns):
+    import numpy as np
     if op == "+":
         return lambda env: fns[0](env) + fns[1](env)
     if op == "-":
@@ -576,6 +593,7 @@ def _compile_app(op: str, fns):
 
 
 def compile_formula(phi: Formula):
+    import numpy as np
     match phi:
         case Lit(value):
             return (lambda env: np.bool_(True)) if value else (lambda env: np.bool_(False))
@@ -603,6 +621,7 @@ def compile_formula(phi: Formula):
 
 def _prior_sampler(theory: ActionTheory, rng):
     """Rejection sampler for the declared prior over the product of domains."""
+    import numpy as np
     density = compile_term(theory.prior)
     axes = []
     for f in theory.fluents:
@@ -653,6 +672,7 @@ def mc_oracle(theory: ActionTheory, phi: Formula, situation: Situation,
     """Sample the prior, push samples forward through the action sequence
     reweighting by sensor likelihoods, and estimate the belief in the query at
     the final situation."""
+    import numpy as np
     rng = np.random.Generator(np.random.Philox(seed))
     draw = _prior_sampler(theory, rng)
     values = draw(n)
@@ -701,12 +721,10 @@ def density_profile(theory: ActionTheory, situation: Situation, fluent: str,
         if not decl.domain.contains(float(v)):
             raise EvalError(f"grid point {v} outside the domain of {fluent}")
 
-    e, _ = regress_belief(theory, TRUE, situation)
+    e, trace = regress_belief(theory, TRUE, situation)
     xname = e.vars[0].name
     weight = fold(_product((e.prior, *e.factors)))
-    current = fold(regress_term(theory, Fluent(fluent, situation)))
-    from .syntax import substitute_fluents
-    current = fold(substitute_fluents(current, {fluent: Var(xname)}, only_now=False))
+    current = fold(trace.terms[-1][fluent])
 
     lo, hi = float(decl.domain.lo), float(decl.domain.hi)
     if not (math.isfinite(lo) and math.isfinite(hi)):

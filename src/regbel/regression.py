@@ -1,16 +1,16 @@
-"""Backward reduction of belief and projection queries over an action history
-to expressions about the initial state only."""
+"""Reduction of belief and projection queries over an action history to
+expressions about the initial state only."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from functools import cached_property
 
-from .simplify import fold, normalize_fluent_atoms, one_point_elim, _conjuncts, _defines
+from .simplify import fold, one_point_elim
 from .syntax import (
     ActionTerm, And, App, Atom, Cond, Exists, Fluent, Formula, Lit, Not, Num,
     Or, S0, Situation, TRUE, Term, Var, conj, fluent_names, free_vars,
-    fresh_name, implies, mentions_do, pretty, substitute, substitute_fluents,
+    mentions_do, pretty, substitute_fluents,
 )
 from .theory import ActionTheory, TheoryError
 
@@ -30,9 +30,11 @@ class BeliefVar:
 
 @dataclass(frozen=True)
 class InitialBeliefExpr:
-    """The regressed form of a belief query: likelihood factors times the prior
-    over initial fluent values, restricted to the regressed condition, with the
-    normalization condition built the same way from ``true``."""
+    """The regressed form of a belief query: likelihood factors (one per
+    sensing action, the last one first) times the prior over initial fluent
+    values, restricted to the regressed condition (the query and every
+    action's precondition), normalized over the worlds where every
+    precondition holds (``gamma_condition``)."""
 
     vars: tuple[BeliefVar, ...]
     factors: tuple[Term, ...]
@@ -58,9 +60,42 @@ class TraceStep:
     factor: str | None = None
 
 
-@dataclass
 class RegressionTrace:
-    steps: list[TraceStep] = field(default_factory=list)
+    """How a belief query was regressed.  ``terms[k]`` maps each fluent to
+    its value after the first k actions, as a term over the value variables.
+    The derivation ``steps`` read the history back to front, one step per
+    action; they are derived and printed on first use only."""
+
+    def __init__(self, theory: ActionTheory, query: Formula, situation: Situation,
+                 terms: list[dict[str, Term]], factors: tuple[Term, ...],
+                 condition: Formula):
+        self.theory = theory
+        self.query = query
+        self.situation = situation
+        self.terms = terms
+        self.factors = factors
+        self.condition = condition
+
+    @cached_property
+    def steps(self) -> list[TraceStep]:
+        theory = self.theory
+        factors = iter(self.factors)
+        cond = self.query
+        out = []
+        for action in reversed(self.situation.actions):
+            before = pretty(cond)
+            if theory.is_sensor(action.name):
+                out.append(TraceStep("sensing", action, before, before,
+                                     pretty(next(factors))))
+                continue
+            effects = {f: theory.ssa_rhs(f, action) for f in theory.fluent_names}
+            cond = conj([p for p in (theory.precondition_of(action),
+                                     substitute_fluents(cond, effects)) if p != TRUE])
+            out.append(TraceStep("physical", action, before, pretty(cond)))
+        initial = substitute_fluents(cond, self.terms[0])
+        out.append(TraceStep("initial-values", None, pretty(cond), pretty(initial)))
+        out.append(TraceStep("simplify", None, pretty(initial), pretty(self.condition)))
+        return out
 
     def render(self) -> str:
         lines = []
@@ -91,22 +126,40 @@ def _roman(n: int) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the forward core
+
+def prefix_terms(theory: ActionTheory, situation: Situation,
+                 initial: dict[str, Term]) -> list[dict[str, Term]]:
+    """Per-prefix fluent terms, built front to back: entry k maps each fluent
+    to its value after the first k actions, as a term over the initial terms.
+    Entry k is the successor-state right-hand sides with the fluents replaced
+    by entry k - 1, which it holds by identity, so no prefix is regressed
+    twice and the cost is linear in the history length."""
+    out = [initial]
+    for action in situation.actions:
+        prev = out[-1]
+        out.append({f: substitute_fluents(theory.ssa_rhs(f, action), prev) for f in prev})
+    return out
+
+
+def _initial_fluents(theory: ActionTheory) -> dict[str, Term]:
+    return {f: Fluent(f, S0) for f in theory.fluent_names}
+
+
+# ---------------------------------------------------------------------------
 # term and formula regression
 
 def regress_term(theory: ActionTheory, t: Term) -> Term:
-    """Eliminate do-symbols from a term by repeatedly substituting the matching
-    successor-state right-hand side."""
+    """Eliminate do-symbols from a term: a fluent in a situation becomes its
+    prefix term over the initial fluent values."""
     match t:
         case Num() | Var():
             return t
         case Fluent(name, sit):
             if sit is None or sit.is_initial:
                 return t
-            action = sit.actions[-1]
-            rest = Situation(sit.actions[:-1])
-            rhs = theory.ssa_rhs(name, action)
-            rhs = _reattach(rhs, rest)
-            return regress_term(theory, rhs)
+            theory.fluent(name)               # an undeclared fluent raises
+            return prefix_terms(theory, sit, _initial_fluents(theory))[-1][name]
         case App(op, args):
             return App(op, tuple(regress_term(theory, a) for a in args))
         case Cond(g, t1, t2):
@@ -114,12 +167,6 @@ def regress_term(theory: ActionTheory, t: Term) -> Term:
                         regress_term(theory, t1), regress_term(theory, t2))
         case _:
             raise RegressionError(f"cannot regress term {t!r}")
-
-
-def _reattach(e, sit: Situation):
-    """Move an effect expression (over ``now``) to a concrete situation."""
-    from .syntax import attach_situation
-    return attach_situation(e, sit)
 
 
 def regress_formula(theory: ActionTheory, phi: Formula) -> Formula:
@@ -142,152 +189,60 @@ def regress_formula(theory: ActionTheory, phi: Formula) -> Formula:
 def regress_projection(theory: ActionTheory, phi: Formula, sit: Situation) -> Formula:
     """Reduce a situation-suppressed formula after the action sequence to a
     do-free formula about the initial situation."""
-    _check_query(phi)
-    from .syntax import attach_situation
-    grounded = attach_situation(phi, sit)
-    out = fold(regress_formula(theory, grounded))
-    assert not mentions_do(out)
-    return out
+    _check_query(theory, phi)
+    terms = prefix_terms(theory, sit, _initial_fluents(theory))[-1]
+    return fold(substitute_fluents(phi, terms))
 
 
 # ---------------------------------------------------------------------------
 # belief regression
 
-@dataclass(frozen=True)
-class DensityPseudoTerm:
-    """Unnormalized weight/density of the successor of the initial world with
-    the given fluent values, restricted by the condition."""
-
-    value_vars: tuple[tuple[str, str], ...]  # (fluent, variable) pairs
-    condition: Formula
-    sit: Situation
-
-
-def step_density(theory: ActionTheory, d: DensityPseudoTerm,
-                 sensed_var: str | None = None):
-    """Peel the last action off the density pseudo-term.  Returns
-    ``(factor, defining_conjunct_var, next_term)``; the factor is ``None`` for
-    physical actions."""
-    if d.sit.is_initial:
-        raise RegressionError("density term already at the initial situation")
-    action = d.sit.actions[-1]
-    rest = Situation(d.sit.actions[:-1])
-    poss = theory.precondition_of(action)
-    if theory.is_sensor(action.name):
-        sensor = theory.sensors[action.name]
-        u = sensed_var or "v"
-        factor = substitute(
-            substitute_fluents(sensor.error, {sensor.target: Var(u)}),
-            sensor.param.name, action.args[0])
-        body = conj([d.condition, Atom("=", Fluent(sensor.target, None), Var(u))])
-        cond = implies(poss, body)
-        return factor, u, DensityPseudoTerm(d.value_vars, cond, rest)
-    # physical: rewrite the condition through the successor-state axioms
-    effects = {f.name: theory.ssa_rhs(f.name, action) for f in theory.fluents}
-    cond = implies(poss, substitute_fluents(d.condition, effects))
-    return None, None, DensityPseudoTerm(d.value_vars, cond, rest)
-
-
 def regress_belief(theory: ActionTheory, phi: Formula,
                    situation: Situation | None = None):
     """Reduce a belief query over the action history to an expression about
-    initial fluent values only.  Returns ``(InitialBeliefExpr, trace)``."""
+    initial fluent values only.  Returns ``(InitialBeliefExpr, trace)``.
+
+    Following Bacchus, Halpern and Levesque, a world in which some action's
+    precondition fails gets weight 0: the condition is the regressed query
+    and every action's regressed precondition, and the normalization
+    condition is the preconditions alone.  Each sensing action contributes
+    its likelihood with the target fluent at its prefix term."""
     sit = situation if situation is not None else S0
-    _check_query(phi)
-    bad = fluent_names(phi) - set(theory.fluent_names)
-    if bad:
-        raise TheoryError(f"query mentions undeclared fluents {sorted(bad)}")
+    _check_query(theory, phi)
+    value_vars = theory.value_vars(free_vars(phi) | _theory_names(theory))
+    terms = prefix_terms(theory, sit, {f: Var(v) for f, v in value_vars.items()})
 
-    avoid = free_vars(phi) | _theory_names(theory)
-    value_vars = theory.value_vars(frozenset(avoid))
-    taken = set(avoid) | set(value_vars.values())
-
-    trace = RegressionTrace()
-    cond = normalize_fluent_atoms(phi)
-    if cond != phi:
-        trace.steps.append(TraceStep("normalize", None, pretty(phi), pretty(cond)))
-    gcond: Formula = TRUE
-    factors: list[Term] = []
-    sensed: list[str] = []
-
-    d = DensityPseudoTerm(tuple(value_vars.items()), cond, sit)
-    g = DensityPseudoTerm(tuple(value_vars.items()), gcond, sit)
-    while not d.sit.is_initial:
-        action = d.sit.actions[-1]
-        u = None
+    factors, poss = [], []
+    for action, before in zip(sit.actions, terms):
         if theory.is_sensor(action.name):
-            u = fresh_name("v", taken)
-            taken.add(u)
-            sensed.append(u)
-        before = pretty(d.condition)
-        factor, _, d2 = step_density(theory, d, sensed_var=u)
-        _, _, g2 = step_density(theory, g, sensed_var=u)
-        rule = "sensing" if factor is not None else "physical"
-        trace.steps.append(TraceStep(rule, action, before, pretty(d2.condition),
-                                     pretty(factor) if factor is not None else None))
-        if factor is not None:
-            factors.append(factor)
-        d, g = d2, g2
-
-    # replace initial fluent references by their value variables
-    to_vars = {f: Var(v) for f, v in value_vars.items()}
-    cond = substitute_fluents(d.condition, to_vars, only_now=False)
-    gcond = substitute_fluents(g.condition, to_vars, only_now=False)
-    prior = substitute_fluents(theory.prior, to_vars, only_now=False)
-    trace.steps.append(TraceStep("initial-values", None,
-                                 pretty(d.condition), pretty(cond)))
-
-    cond = fold(one_point_elim(fold(cond)))
-    gcond = fold(one_point_elim(fold(gcond)))
-    cond, gcond, factors = _eliminate_sensed(cond, gcond, factors, sensed)
-    cond, gcond = fold(cond), fold(gcond)
-    factors = tuple(fold(f) for f in factors)
-    trace.steps.append(TraceStep("simplify", None, "", pretty(cond)))
+            factors.append(fold(theory.likelihood_of(action, before)))
+        else:
+            poss.append(substitute_fluents(theory.precondition_of(action), before))
+    gamma = _simplified(conj(poss))
+    cond = fold(conj([_simplified(substitute_fluents(phi, terms[-1])), gamma]))
 
     expr = InitialBeliefExpr(
         vars=tuple(BeliefVar(f, v, theory.fluent(f).domain.is_finite)
                    for f, v in value_vars.items()),
-        factors=factors, prior=fold(prior),
-        condition=cond, gamma_condition=gcond)
-    assert not mentions_do(expr.condition) and not mentions_do(expr.gamma_condition)
-    for f in expr.factors:
-        assert not mentions_do(f)
-    return expr, trace
+        factors=tuple(reversed(factors)),
+        prior=fold(substitute_fluents(theory.prior, terms[0])),
+        condition=cond, gamma_condition=gamma)
+    return expr, RegressionTrace(theory, phi, sit, terms, expr.factors, cond)
 
 
-def _eliminate_sensed(cond: Formula, gcond: Formula, factors: list[Term],
-                      sensed: list[str]):
-    """Substitute each sensed-value variable by its defining conjunct (the
-    regressed fluent value at sensing time) into the factors and conditions."""
-    for u in sensed:
-        definition = None
-        for c in _conjuncts(gcond):
-            definition = _defines(c, u)
-            if definition is not None:
-                break
-        if definition is None:
-            for c in _conjuncts(cond):
-                definition = _defines(c, u)
-                if definition is not None:
-                    break
-        if definition is None:
-            raise RegressionError(
-                f"cannot eliminate sensed value {u}; nontrivial preconditions "
-                "leave it under a disjunction")
-        cond = _drop_and_subst(cond, u, definition)
-        gcond = _drop_and_subst(gcond, u, definition)
-        factors = [substitute(f, u, definition) for f in factors]
-    return cond, gcond, list(factors)
+def _simplified(phi: Formula) -> Formula:
+    """Fold, eliminating each definitional existential (``exists y (y = t
+    and …)``) of a query or precondition, which the evaluator cannot decide
+    at a point."""
+    return fold(one_point_elim(fold(phi)))
 
 
-def _drop_and_subst(phi: Formula, u: str, t: Term) -> Formula:
-    parts = [c for c in _conjuncts(phi) if _defines(c, u) is None]
-    return fold(conj([substitute(c, u, t) for c in parts]))
-
-
-def _check_query(phi: Formula):
+def _check_query(theory: ActionTheory, phi: Formula):
     if mentions_do(phi):
         raise RegressionError("query must be situation-suppressed")
+    bad = fluent_names(phi) - set(theory.fluent_names)
+    if bad:
+        raise TheoryError(f"query mentions undeclared fluents {sorted(bad)}")
 
 
 def _theory_names(theory: ActionTheory) -> frozenset[str]:

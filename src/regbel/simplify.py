@@ -5,12 +5,11 @@ min/max/abs/if-then-else structure into guarded arithmetic pieces."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .syntax import (
-    And, App, Atom, Cond, Exists, FALSE, Fluent, Formula, Lit, Not, Num, Or,
-    REL_OPS, TRUE, Term, Var, conj, disj, fluent_names, free_vars, fresh_name,
-    substitute, substitute_fluents,
+    And, App, Atom, Cond, Exists, FALSE, Fluent, Formula, Lit, Not, Num, ONE, Or,
+    REL_OPS, TRUE, Term, Var, ZERO, conj, disj, fluent_names, free_vars,
+    fresh_name, substitute, substitute_fluents,
 )
 
 
@@ -115,77 +114,71 @@ def _defines(c: Formula, v: str) -> Term | None:
 # ---------------------------------------------------------------------------
 # constant folding
 
-def _is_const(t: Term) -> bool:
-    return isinstance(t, Num)
-
-
 def fold(e):
     """Semantics-preserving simplification: exact arithmetic on constant
-    subexpressions, boolean units, collapsed conditionals."""
+    subexpressions, boolean units, collapsed conditionals.  Works bottom-up:
+    each node is rebuilt once, by a constructor that takes folded operands."""
     match e:
         case Num() | Var() | Fluent() | Lit():
             return e
         case App(op, args):
-            args = tuple(fold(a) for a in args)
-            return _fold_app(op, args)
+            return _fold_app(op, tuple(fold(a) for a in args))
         case Cond(g, t1, t2):
-            g = fold(g)
-            t1, t2 = fold(t1), fold(t2)
-            if g == TRUE:
-                return t1
-            if g == FALSE:
-                return t2
-            if t1 == t2:
-                return t1
-            return Cond(g, t1, t2)
+            return _fold_cond(fold(g), fold(t1), fold(t2))
         case Atom(rel, l, r):
-            l, r = fold(l), fold(r)
-            if _is_const(l) and _is_const(r):
-                return Lit(REL_OPS[rel](l.value, r.value))
-            if rel == "=" and l == r:
-                return TRUE
-            return _atom_simplify(rel, l, r)
-        case And(items):
-            flat = []
-            for f in items:
-                f = fold(f)
-                if f == FALSE:
-                    return FALSE
-                if f == TRUE:
-                    continue
-                if isinstance(f, And):
-                    flat.extend(f.items)
-                elif f not in flat:
-                    flat.append(f)
-            return conj(flat)
-        case Or(items):
-            flat = []
-            for f in items:
-                f = fold(f)
-                if f == TRUE:
-                    return TRUE
-                if f == FALSE:
-                    continue
-                if isinstance(f, Or):
-                    flat.extend(f.items)
-                elif f not in flat:
-                    flat.append(f)
-            return disj(flat)
+            return _fold_atom(rel, fold(l), fold(r))
+        case And(items) | Or(items):
+            return _fold_junction(type(e), (fold(f) for f in items))
         case Not(b):
-            b = fold(b)
-            if isinstance(b, Lit):
-                return Lit(not b.value)
-            if isinstance(b, Not):
-                return b.body
-            return Not(b)
+            return _fold_not(fold(b))
         case Exists(v, b):
             b = fold(b)
-            if isinstance(b, Lit):
-                return b
-            if v not in free_vars(b):
+            if isinstance(b, Lit) or v not in free_vars(b):
                 return b
             return Exists(v, b)
     raise TypeError(f"not an expression: {e!r}")
+
+
+# The constructors below assume folded operands and return folded results;
+# they never fold an operand again.
+
+def _fold_cond(g: Formula, t1: Term, t2: Term) -> Term:
+    if g == TRUE:
+        return t1
+    if g == FALSE:
+        return t2
+    if t1 == t2:
+        return t1
+    return Cond(g, t1, t2)
+
+
+def _fold_junction(kind, items) -> Formula:
+    """``kind`` (And or Or) of folded items: units dropped, an absorbing
+    item returned, nested items of the same kind flattened, duplicates
+    dropped.  Items are drawn lazily, so an absorbing one stops the rest."""
+    absorbing, unit = (FALSE, TRUE) if kind is And else (TRUE, FALSE)
+    flat: list[Formula] = []
+    for f in items:
+        if f == absorbing:
+            return absorbing
+        if f == unit:
+            continue
+        for g in (f.items if isinstance(f, kind) else (f,)):
+            if g not in flat:
+                flat.append(g)
+    return conj(flat) if kind is And else disj(flat)
+
+
+def _fold_not(b: Formula) -> Formula:
+    if isinstance(b, Lit):
+        return Lit(not b.value)
+    if isinstance(b, Not):
+        return b.body
+    return Not(b)
+
+
+def _is_const(t: Term) -> bool:
+    return isinstance(t, Num)
 
 
 def _fold_app(op: str, args: tuple[Term, ...]) -> Term:
@@ -196,21 +189,20 @@ def _fold_app(op: str, args: tuple[Term, ...]) -> Term:
             return Num(eval_term_at(App(op, args), {}, {}))
         except Exception:  # noqa: BLE001 - e.g. division by zero stays symbolic
             return App(op, args)
-    zero, one = Num(Fraction(0)), Num(Fraction(1))
     match (op, args):
-        case ("+", (a, b)) if b == zero:
+        case ("+", (a, b)) if b == ZERO:
             return a
-        case ("+", (a, b)) if a == zero:
+        case ("+", (a, b)) if a == ZERO:
             return b
-        case ("-", (a, b)) if b == zero:
+        case ("-", (a, b)) if b == ZERO:
             return a
-        case ("*", (a, b)) if a == one:
+        case ("*", (a, b)) if a == ONE:
             return b
-        case ("*", (a, b)) if b == one:
+        case ("*", (a, b)) if b == ONE:
             return a
-        case ("*", (a, b)) if a == zero or b == zero:
-            return zero
-        case ("/", (a, b)) if b == one:
+        case ("*", (a, b)) if a == ZERO or b == ZERO:
+            return ZERO
+        case ("/", (a, b)) if b == ONE:
             return a
         case ("neg", (App("neg", (inner,)),)):
             return inner
@@ -222,46 +214,51 @@ def _fold_app(op: str, args: tuple[Term, ...]) -> Term:
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-def _atom_simplify(rel: str, l: Term, r: Term) -> Formula:
+def _fold_atom(rel: str, l: Term, r: Term) -> Formula:
     """Order-relation rewrites: split min/max/abs bounds into plain atoms and
     move additive constants across a constant side."""
+    if _is_const(l) and _is_const(r):
+        return Lit(REL_OPS[rel](l.value, r.value))
+    if rel == "=" and l == r:
+        return TRUE
     if rel in _FLIP:
         lower = rel in ("<", "<=")
+        # (left, right) operand pairs of the two parts, and whether they join
+        # by "and"
         match (l, r):
             case (App("max", (a, b)), _):
-                parts = (Atom(rel, a, r), Atom(rel, b, r))
-                return fold(And(parts) if lower else Or(parts))
+                pairs, both = ((a, r), (b, r)), lower
             case (App("min", (a, b)), _):
-                parts = (Atom(rel, a, r), Atom(rel, b, r))
-                return fold(Or(parts) if lower else And(parts))
+                pairs, both = ((a, r), (b, r)), not lower
             case (_, App("max", (a, b))):
-                parts = (Atom(rel, l, a), Atom(rel, l, b))
-                return fold(Or(parts) if lower else And(parts))
+                pairs, both = ((l, a), (l, b)), not lower
             case (_, App("min", (a, b))):
-                parts = (Atom(rel, l, a), Atom(rel, l, b))
-                return fold(And(parts) if lower else Or(parts))
+                pairs, both = ((l, a), (l, b)), lower
             case (App("abs", (a,)), _):
-                parts = (Atom(rel, a, r), Atom(rel, App("neg", (a,)), r))
-                return fold(And(parts) if lower else Or(parts))
+                pairs, both = ((a, r), (_fold_app("neg", (a,)), r)), lower
             case (_, App("abs", (a,))):
-                parts = (Atom(rel, l, a), Atom(rel, l, App("neg", (a,))))
-                return fold(Or(parts) if lower else And(parts))
+                pairs, both = ((l, a), (l, _fold_app("neg", (a,)))), not lower
             case (App("neg", (a,)), Num(c)):
-                return fold(Atom(_FLIP[rel], a, Num(-c)))
+                return _fold_atom(_FLIP[rel], a, Num(-c))
             case (Num(c), App("neg", (a,))):
-                return fold(Atom(_FLIP[rel], Num(-c), a))
+                return _fold_atom(_FLIP[rel], Num(-c), a)
+            case _:
+                pairs = None
+        if pairs is not None:
+            return _fold_junction(And if both else Or,
+                                  (_fold_atom(rel, x, y) for x, y in pairs))
     if isinstance(r, Num):
         match l:
             case App("+", (a, Num(c))) | App("+", (Num(c), a)):
-                return fold(Atom(rel, a, Num(r.value - c)))
+                return _fold_atom(rel, a, Num(r.value - c))
             case App("-", (a, Num(c))):
-                return fold(Atom(rel, a, Num(r.value + c)))
+                return _fold_atom(rel, a, Num(r.value + c))
     if isinstance(l, Num):
         match r:
             case App("+", (a, Num(c))) | App("+", (Num(c), a)):
-                return fold(Atom(rel, Num(l.value - c), a))
+                return _fold_atom(rel, Num(l.value - c), a)
             case App("-", (a, Num(c))):
-                return fold(Atom(rel, Num(l.value + c), a))
+                return _fold_atom(rel, Num(l.value + c), a)
     return Atom(rel, l, r)
 
 
@@ -275,28 +272,29 @@ def to_piecewise(t: Term) -> PiecewiseTerm:
 
 
 def _pw(t: Term) -> list[tuple[Formula, Term]]:
+    """Pieces of a folded term; guards and bodies come out folded."""
     match t:
         case Num() | Var() | Fluent():
             return [(TRUE, t)]
         case Cond(g, t1, t2):
-            out = [(fold(conj([g, gi])), bi) for gi, bi in _pw(t1)]
-            out += [(fold(conj([Not(g), gi])), bi) for gi, bi in _pw(t2)]
+            out = [(_fold_junction(And, (g, gi)), bi) for gi, bi in _pw(t1)]
+            out += [(_fold_junction(And, (_fold_not(g), gi)), bi) for gi, bi in _pw(t2)]
             return [(g, b) for g, b in out if g != FALSE]
         case App("min" | "max" as op, (a, b)):
             rel = "<=" if op == "min" else ">="
             out = []
             for ga, ba in _pw(a):
                 for gb, bb in _pw(b):
-                    both = [ga, gb]
-                    out.append((fold(conj(both + [Atom(rel, ba, bb)])), ba))
-                    out.append((fold(conj(both + [Not(Atom(rel, ba, bb))])), bb))
+                    split = _fold_atom(rel, ba, bb)
+                    out.append((_fold_junction(And, (ga, gb, split)), ba))
+                    out.append((_fold_junction(And, (ga, gb, _fold_not(split))), bb))
             return [(g, b) for g, b in out if g != FALSE]
         case App("abs", (a,)):
             out = []
-            zero = Num(Fraction(0))
             for ga, ba in _pw(a):
-                out.append((fold(conj([ga, Atom(">=", ba, zero)])), ba))
-                out.append((fold(conj([ga, Atom("<", ba, zero)])), App("neg", (ba,))))
+                out.append((_fold_junction(And, (ga, _fold_atom(">=", ba, ZERO))), ba))
+                out.append((_fold_junction(And, (ga, _fold_atom("<", ba, ZERO))),
+                            _fold_app("neg", (ba,))))
             return [(g, b) for g, b in out if g != FALSE]
         case App(op, args):
             parts = [_pw(a) for a in args]
@@ -305,9 +303,9 @@ def _pw(t: Term) -> list[tuple[Formula, Term]]:
             for p in parts:
                 combos = [(gs + [g], bs + [b]) for gs, bs in combos for g, b in p]
             for gs, bs in combos:
-                g = fold(conj(gs))
+                g = _fold_junction(And, gs)
                 if g != FALSE:
-                    out.append((g, fold(App(op, tuple(bs)))))
+                    out.append((g, _fold_app(op, tuple(bs))))
             return out
         case _:
             raise TypeError(f"cannot convert to piecewise form: {t!r}")

@@ -230,12 +230,6 @@ def disj(items) -> Formula:
     return Or(items)
 
 
-def implies(antecedent: Formula, consequent: Formula) -> Formula:
-    if antecedent == TRUE:
-        return consequent
-    return Or((Not(antecedent), consequent))
-
-
 # ---------------------------------------------------------------------------
 # pretty-printing with minimal parentheses
 #

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .syntax import (
     ActionTerm, Const, Fluent, Formula, Lit, Num, Term, TRUE, Var,
-    fluent_names, free_vars, substitute_many,
+    fluent_names, free_vars, substitute_fluents, substitute_many,
 )
 
 
@@ -169,17 +169,18 @@ class ActionTheory:
         binding = {p.name: a for p, a in zip(decl.params, action.args)}
         return substitute_many(effect, binding)
 
-    def likelihood_of(self, action: ActionTerm, value_vars: dict[str, str] | None = None) -> Term:
+    def likelihood_of(self, action: ActionTerm, terms: dict[str, Term] | None = None) -> Term:
         """Likelihood term of a ground action: the sensor error expression with
-        the reading substituted (over the target fluent's value variable), or
-        the constant 1 for physical actions."""
+        the reading substituted and the target fluent replaced by its term in
+        ``terms`` (by default the fluent's value variable), or the constant 1
+        for physical actions."""
         if action.name in self.sensors:
             decl = self.sensors[action.name]
             self._check_args(action, (decl.param,))
-            value_vars = value_vars or self.value_vars()
+            if terms is None:
+                terms = {f: Var(v) for f, v in self.value_vars().items()}
             err = substitute_many(decl.error, {decl.param.name: action.args[0]})
-            from .syntax import substitute_fluents
-            return substitute_fluents(err, {decl.target: Var(value_vars[decl.target])})
+            return substitute_fluents(err, {decl.target: terms[decl.target]})
         if action.name in self.actions:
             decl = self.actions[action.name]
             self._check_args(action, decl.params)

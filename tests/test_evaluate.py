@@ -13,7 +13,7 @@ import pytest
 from regbel import (
     FALSE, And, Situation, TRUE, UndefinedBeliefError, density_profile, eval_belief,
     eval_belief_continuous, eval_belief_discrete, eval_formula_at,
-    eval_term_at, free_vars, mc_oracle, parse_theory, profile_csv,
+    eval_term_at, fold, free_vars, mc_oracle, parse_theory, profile_csv,
 )
 from regbel.evaluate import (
     EvalError, NoSupportError, UnsupportedExistentialError, compile_formula,
@@ -43,6 +43,15 @@ def test_eval_term_exact_rational_arithmetic():
 def test_eval_division_by_zero_raises():
     with pytest.raises(EvalError):
         eval_term_at(parse_term("1 / (x - x)"), {"x": Fraction(3)})
+
+
+def test_huge_exact_power_is_refused_and_left_unfolded():
+    tower = parse_term("pow(9, pow(9, 8))")
+    with pytest.raises(EvalError):
+        eval_term_at(tower, {})
+    assert fold(tower) == parse_term("pow(9, 43046721)")
+    assert eval_term_at(parse_term("pow(2/3, 100) * pow(-1, 1000000000)"), {}) \
+        == Fraction(2, 3) ** 100
 
 
 def test_eval_residual_existential_raises():
@@ -259,6 +268,16 @@ prior { (if mode = 0 then 3/4 else 1/4) * (if 2 <= h <= 12 then 1/10 else 0) }
     assert abs(belief(theory, "mode = 0 and h <= 7").value - 0.375) <= 1e-6
 
 
+def test_quadrature_skips_a_finite_fluent_mentioned_nowhere():
+    from importlib import resources
+    wall = resources.files("regbel").joinpath("theories", "wall_continuous.bel").read_text()
+    plain = belief(parse_theory(wall), "h <= 5", "sonar(5)")
+    padded = belief(parse_theory(wall + "fluent k : int in [0, 30]\n"), "h <= 5", "sonar(5)")
+    assert (plain.cells, padded.cells) == (21, 21)
+    assert padded.value == pytest.approx(plain.value, rel=1e-12)
+    assert padded.gamma == pytest.approx(31 * plain.gamma, rel=1e-12)
+
+
 def test_additivity_and_monotonicity(discrete, continuous):
     pairs = [("h <= 5", "4 <= h <= 9"), ("h <= 7", "h >= 3"),
              ("h = 5", "h <= 5")]
@@ -403,3 +422,15 @@ def test_profile_csv_single_row(continuous):
     lines = csv.strip().splitlines()
     assert lines[0] == "value,density"
     assert len(lines) == 2
+
+
+def test_import_does_not_load_numpy():
+    import os
+    import subprocess
+    import sys
+
+    import regbel
+    src = os.path.dirname(os.path.dirname(regbel.__file__))
+    code = "import sys, regbel, regbel.cli; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": src})

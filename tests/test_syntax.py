@@ -4,11 +4,11 @@ print/parse round trip."""
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from regbel import (
     And, App, Atom, Cond, Exists, FALSE, Fluent, Not, Num, Or, S0, Situation,
-    TRUE, Var, free_vars, mentions_do, pretty, substitute,
+    TRUE, Var, fold, free_vars, mentions_do, pretty, substitute,
 )
 from regbel.parser import parse_formula, parse_term
 from regbel.syntax import ActionTerm, attach_situation, fresh_name, num
@@ -165,3 +165,12 @@ def test_formula_print_parse_round_trip(f):
 @given(terms, st.sampled_from(["x", "y", "z"]))
 def test_substitution_removes_free_variable(t, v):
     assert v not in free_vars(substitute(t, v, num(2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(terms, formulas))
+# splitting the abs bound repeats the first disjunct
+@example(Or((Atom(">=", Var("x"), Var("y")), Atom(">=", App("abs", (Var("x"),)), Var("y")))))
+def test_fold_is_idempotent(e):
+    once = fold(e)
+    assert fold(once) == once

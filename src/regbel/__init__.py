@@ -28,7 +28,29 @@ from .theory import (
     RealInterval, SensorDecl, TheoryError, parse_theory, validate_theory,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # evaluation
+    "EvalError", "EvalResult", "NoSupportError", "OracleEstimate",
+    "UndefinedBeliefError", "UnsupportedExistentialError", "density_profile",
+    "eval_belief", "eval_belief_continuous", "eval_belief_discrete",
+    "eval_formula_at", "eval_term_at", "mc_oracle", "profile_csv",
+    # parsing
+    "ParseError", "parse_action_sequence", "parse_formula", "parse_term",
+    # regression
+    "InitialBeliefExpr", "RegressionError", "RegressionTrace", "regress_belief",
+    "regress_formula", "regress_projection", "regress_term",
+    # simplification
+    "PiecewiseTerm", "fold", "normalize_fluent_atoms", "one_point_elim",
+    "to_piecewise",
+    # syntax
+    "ActionTerm", "And", "App", "Atom", "Cond", "Const", "Exists", "FALSE",
+    "Fluent", "Lit", "Not", "Num", "Or", "S0", "Situation", "TRUE", "Var",
+    "free_vars", "mentions_do", "pretty", "substitute",
+    # theories
+    "ActionDecl", "ActionTheory", "FiniteIntRange", "FiniteSet", "FluentDecl",
+    "Param", "RealInterval", "SensorDecl", "TheoryError", "parse_theory",
+    "validate_theory", "load_theory", "bundled_theory",
+]
 __version__ = "0.1.0"
 
 

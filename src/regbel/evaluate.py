@@ -667,40 +667,58 @@ def _prior_sampler(theory: ActionTheory, rng):
     return draw
 
 
+# samples drawn and pushed forward together: the oracle's transient memory is
+# a few arrays of this length, whatever the sample count
+_ORACLE_BLOCK = 8192
+
+
 def mc_oracle(theory: ActionTheory, phi: Formula, situation: Situation,
               n: int, seed: int = 0) -> OracleEstimate:
     """Sample the prior, push samples forward through the action sequence
-    reweighting by sensor likelihoods, and estimate the belief in the query at
-    the final situation."""
+    reweighting by preconditions and sensor likelihoods, and estimate the
+    belief in the query at the final situation.  Samples are drawn and
+    simulated in blocks of ``_ORACLE_BLOCK``, keeping running sums of the
+    weights and their squares, with and without the query, so memory is
+    bounded by the block size, not by ``n``."""
     import numpy as np
     rng = np.random.Generator(np.random.Philox(seed))
     draw = _prior_sampler(theory, rng)
-    values = draw(n)
-    weights = np.ones(n)
-
+    now = {f: Fluent(f, None) for f in theory.fluent_names}
+    steps = []
     for action in situation.actions:
-        poss = theory.precondition_of(action)
-        if poss != TRUE:
-            weights = weights * compile_formula(poss)(values).astype(float)
         if theory.is_sensor(action.name):
-            sensor = theory.sensors[action.name]
-            from .syntax import substitute
-            err = substitute(sensor.error, sensor.param.name, action.args[0])
-            weights = weights * compile_term(err)(values)
-        else:
-            updated = {}
-            for f in theory.fluents:
-                rhs = theory.ssa_rhs(f.name, action)
-                updated[f.name] = compile_term(rhs)(values) * np.ones(n)
-            values = updated
+            steps.append((None, compile_term(theory.likelihood_of(action, now)), None))
+            continue
+        poss = theory.precondition_of(action)
+        steps.append((None if poss == TRUE else compile_formula(poss), None,
+                      {f: compile_term(theory.ssa_rhs(f, action)) for f in now}))
+    query = compile_formula(phi)
 
-    total = float(np.sum(weights))
+    total = hits = squares = hit_squares = 0.0
+    for start in range(0, n, _ORACLE_BLOCK):
+        m = min(_ORACLE_BLOCK, n - start)
+        values = draw(m)
+        weights = np.ones(m)
+        for poss, factor, effects in steps:
+            if poss is not None:
+                weights = weights * poss(values)
+            if factor is not None:
+                weights = weights * factor(values)
+            if effects is not None:
+                values = {f: np.broadcast_to(fn(values), (m,)) for f, fn in effects.items()}
+        indicator = np.broadcast_to(query(values), (m,))
+        sq = weights * weights
+        total += float(np.sum(weights))
+        hits += float(np.sum(weights * indicator))
+        squares += float(np.sum(sq))
+        hit_squares += float(np.sum(sq * indicator))
+
     if total <= 0:
         raise NoSupportError("all oracle sample weights are zero")
-    indicator = compile_formula(phi)(values) * np.ones(n)
-    estimate = float(np.sum(weights * indicator)) / total
-    resid = indicator - estimate
-    stderr = math.sqrt(float(np.sum((weights * resid) ** 2))) / total
+    estimate = hits / total
+    # sum of (w * (1[phi] - estimate))^2, split by 1[phi]
+    resid = hit_squares * (1.0 - estimate) ** 2 + (squares - hit_squares) * estimate ** 2
+    stderr = math.sqrt(resid) / total
     return OracleEstimate(estimate=estimate, stderr=stderr, samples=n, seed=seed)
 
 
@@ -710,8 +728,15 @@ def mc_oracle(theory: ActionTheory, phi: Formula, situation: Situation,
 def density_profile(theory: ActionTheory, situation: Situation, fluent: str,
                     grid) -> list[tuple[float, float]]:
     """Unnormalized posterior density of the fluent's current value at each
-    grid point: the regressed likelihood-times-prior transported through the
-    physical actions (atoms from collapsed regions are omitted)."""
+    grid point: the regressed likelihood-times-prior at each preimage of the
+    point under the motion map, divided by the map's slope there.
+
+    The motion map is split into pieces once per call.  On a linear piece
+    ``a*x + b`` the preimage of ``v`` is ``(v - b)/a`` and the Jacobian
+    ``1/|a|``, both exact; a non-linear piece is scanned for roots and its
+    slope taken by finite differences.  A preimage counts when its piece's
+    guard holds there.  A constant piece maps a whole region to one value,
+    an atom of the posterior rather than a density, and is omitted."""
     decl = theory.fluent(fluent)
     if decl.domain.is_finite:
         raise EvalError(f"fluent {fluent} is not real-valued")
@@ -724,42 +749,55 @@ def density_profile(theory: ActionTheory, situation: Situation, fluent: str,
     e, trace = regress_belief(theory, TRUE, situation)
     xname = e.vars[0].name
     weight = fold(_product((e.prior, *e.factors)))
-    current = fold(trace.terms[-1][fluent])
 
     lo, hi = float(decl.domain.lo), float(decl.domain.hi)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise EvalError("density profiles need finite domain bounds")
 
+    linear, curved = [], []
+    for guard, body in to_piecewise(trace.terms[-1][fluent]).pieces:
+        if xname not in free_vars(body):
+            continue                      # constant piece: an atom
+        if not _is_linear(body, xname):
+            curved.append((guard, body))
+            continue
+        try:
+            b = eval_term_at(body, {xname: Fraction(0)})
+            a = eval_term_at(body, {xname: Fraction(1)}) - b
+        except EvalError:
+            continue
+        if a != 0:
+            linear.append((guard, a, b))
+
+    def at(x, guard):
+        """The weight at the preimage x, or 0 outside its piece, the domain
+        or the worlds where every precondition holds."""
+        env = {xname: x}
+        if not (lo <= x <= hi and eval_formula_at(guard, env)
+                and eval_formula_at(e.gamma_condition, env)):
+            return 0.0
+        return eval_term_at(weight, env)
+
     out = []
     for v in grid:
         v = float(v)
-        diff = fold(App("-", (current, Num(Fraction(v).limit_denominator(10**12)))))
-        roots: list[float] = []
-        for d in _smooth_boundaries(diff):
-            roots.extend(_roots(d, xname, lo, hi, {}))
-        # include endpoints in case the root sits on the boundary
-        roots.extend((lo, hi))
         density = 0.0
-        seen: list[float] = []
-        for x in roots:
-            if any(abs(x - s) < 1e-9 for s in seen):
-                continue
-            gx = float(eval_term_at(current, {xname: x}))
-            if abs(gx - v) > 1e-6 * (1.0 + abs(v)):
-                continue
-            seen.append(x)
-            if not eval_formula_at(e.gamma_condition, {xname: x}):
-                continue
-            h = 1e-7 * (1.0 + abs(x))
-            try:
-                g1 = float(eval_term_at(current, {xname: min(x + h, hi)}))
-                g0 = float(eval_term_at(current, {xname: max(x - h, lo)}))
-            except EvalError:
-                continue
-            slope = (g1 - g0) / (min(x + h, hi) - max(x - h, lo))
-            if abs(slope) < 1e-9:
-                continue  # collapsed region: a point mass, not a density
-            density += float(eval_term_at(weight, {xname: x})) / abs(slope)
+        for guard, a, b in linear:
+            density += float(at((Fraction(v) - b) / a, guard) / abs(a))
+        for guard, body in curved:
+            for x in _roots(fold(App("-", (body, Num(Fraction(v))))), xname, lo, hi, {}):
+                w = at(x, guard)
+                if not w:
+                    continue
+                h = 1e-7 * (1.0 + abs(x))
+                x0, x1 = max(x - h, lo), min(x + h, hi)
+                try:
+                    slope = (float(eval_term_at(body, {xname: x1}))
+                             - float(eval_term_at(body, {xname: x0}))) / (x1 - x0)
+                except EvalError:
+                    continue
+                if abs(slope) >= 1e-9:    # flatter is a point mass, not a density
+                    density += float(w) / abs(slope)
         out.append((v, density))
     return out
 

@@ -152,6 +152,18 @@ def _initial_fluents(theory: ActionTheory) -> dict[str, Term]:
 def regress_term(theory: ActionTheory, t: Term) -> Term:
     """Eliminate do-symbols from a term: a fluent in a situation becomes its
     prefix term over the initial fluent values."""
+    return _regress_term(theory, t, {})
+
+
+def regress_formula(theory: ActionTheory, phi: Formula) -> Formula:
+    """Eliminate do-symbols from a formula, term by term."""
+    return _regress_formula(theory, phi, {})
+
+
+# ``final`` memoizes, per situation met in one call, every fluent's prefix term
+# after its last action, so occurrences at one situation share one term
+
+def _regress_term(theory: ActionTheory, t: Term, final: dict) -> Term:
     match t:
         case Num() | Var():
             return t
@@ -159,30 +171,32 @@ def regress_term(theory: ActionTheory, t: Term) -> Term:
             if sit is None or sit.is_initial:
                 return t
             theory.fluent(name)               # an undeclared fluent raises
-            return prefix_terms(theory, sit, _initial_fluents(theory))[-1][name]
+            if sit not in final:
+                final[sit] = prefix_terms(theory, sit, _initial_fluents(theory))[-1]
+            return final[sit][name]
         case App(op, args):
-            return App(op, tuple(regress_term(theory, a) for a in args))
+            return App(op, tuple(_regress_term(theory, a, final) for a in args))
         case Cond(g, t1, t2):
-            return Cond(regress_formula(theory, g),
-                        regress_term(theory, t1), regress_term(theory, t2))
+            return Cond(_regress_formula(theory, g, final),
+                        _regress_term(theory, t1, final), _regress_term(theory, t2, final))
         case _:
             raise RegressionError(f"cannot regress term {t!r}")
 
 
-def regress_formula(theory: ActionTheory, phi: Formula) -> Formula:
+def _regress_formula(theory: ActionTheory, phi: Formula, final: dict) -> Formula:
     match phi:
         case Lit():
             return phi
         case Atom(rel, l, r):
-            return Atom(rel, regress_term(theory, l), regress_term(theory, r))
+            return Atom(rel, _regress_term(theory, l, final), _regress_term(theory, r, final))
         case And(items):
-            return And(tuple(regress_formula(theory, f) for f in items))
+            return And(tuple(_regress_formula(theory, f, final) for f in items))
         case Or(items):
-            return Or(tuple(regress_formula(theory, f) for f in items))
+            return Or(tuple(_regress_formula(theory, f, final) for f in items))
         case Not(b):
-            return Not(regress_formula(theory, b))
+            return Not(_regress_formula(theory, b, final))
         case Exists(v, b):
-            return Exists(v, regress_formula(theory, b))
+            return Exists(v, _regress_formula(theory, b, final))
     raise TypeError(f"not a formula: {phi!r}")
 
 

@@ -324,6 +324,28 @@ def test_oracle_is_deterministic_given_seed(continuous):
     assert a == b
 
 
+def test_oracle_memory_is_bounded_by_its_block(continuous):
+    import tracemalloc
+    phi = parse_formula("4 <= h <= 6", fluents={"h"})
+    sit = parse_action_sequence("fwd(1); sonar(5)")
+    tracemalloc.start()
+    try:
+        mc_oracle(continuous, phi, sit, 10 ** 6, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_oracle_with_a_partial_last_block(continuous):
+    phi = parse_formula("4 <= h <= 6", fluents={"h"})
+    sit = parse_action_sequence("fwd(1); sonar(5)")
+    est = mc_oracle(continuous, phi, sit, 10001, seed=4)
+    assert est.samples == 10001
+    want = belief(continuous, "4 <= h <= 6", "fwd(1); sonar(5)").value
+    assert abs(est.estimate - want) <= 3 * est.stderr + 1e-6
+
+
 def test_oracle_no_support(discrete):
     phi = parse_formula("h <= 5", fluents={"h"})
     sit = parse_action_sequence("sonar(20)")
@@ -409,6 +431,49 @@ def test_profile_after_motion_shifts_the_support(continuous):
     assert abs(rows[6.0] - 0.1) <= 1e-9
     assert abs(rows[10.5] - 0.1) <= 1e-9
     assert rows[11.5] == 0.0
+
+
+def _gauss(x, var):
+    return math.exp(-x * x / (2 * var)) / math.sqrt(2 * math.pi * var)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_profile_after_shift_clamps_and_reading(continuous, seed):
+    # h0 -> max(0, h0 + s) -> max(0, h - c) -> max(0, h - k) -> h + k, then a
+    # reading z.  Every final value v > k has the one preimage h0 = v + c - s
+    # with slope 1; v = k is the atom the clamps pile up.
+    rng = random.Random(seed)
+    s, c, k = (f"{rng.uniform(0.5, 3.0):.2f}" for _ in range(3))
+    z = f"{rng.uniform(2.0, 12.0):.2f}"
+    sit = parse_action_sequence(f"fwd(-{s}); fwd({c}); fwd({k}); fwd(-{k}); sonar({z})")
+    offset = rng.uniform(0.0, 0.1)
+    grid = [round(offset + i * 0.099, 9) for i in range(201)]
+    for v, d in density_profile(continuous, sit, "h", grid):
+        x0 = Fraction(v) + Fraction(c) - Fraction(s)
+        want = 0.0
+        if Fraction(v) > Fraction(k) and 2 <= x0 <= 12:
+            want = 0.1 * _gauss(float(Fraction(z) - Fraction(v)), 4.0)
+        assert abs(d - want) <= 1e-12, v
+
+
+def test_profile_through_a_curved_motion():
+    # h -> h*h/10 maps the uniform prior on [2, 12] onto [0.4, 14.4], with
+    # density 0.1 * dh/dv = 0.1 * sqrt(10) / (2 sqrt(v))
+    theory = parse_theory("""
+fluent h : real in [0, 20]
+action sq() { h := h * h / 10 }
+prior { if 2 <= h <= 12 then 1/10 else 0 }
+""")
+    grid = [0.3, 0.45, 1.0, 3.7, 8.0, 14.3, 14.5, 19.0]
+    for v, d in density_profile(theory, parse_action_sequence("sq()"), "h", grid):
+        want = 0.1 * math.sqrt(10) / (2 * math.sqrt(v)) if 0.4 < v < 14.4 else 0.0
+        assert abs(d - want) <= 1e-8, v
+
+
+def test_profile_omits_the_clamp_atom(continuous):
+    sit = parse_action_sequence("fwd(3)")
+    rows = density_profile(continuous, sit, "h", [0.0, 1.0])
+    assert rows == [(0.0, 0.0), (1.0, 0.1)]
 
 
 def test_profile_requires_real_fluent(discrete):

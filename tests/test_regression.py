@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from regbel import (
-    App, Atom, Fluent, RegressionError, S0, Situation, TheoryError, TRUE, Var,
+    And, App, Atom, Fluent, RegressionError, S0, Situation, TheoryError, TRUE, Var,
     fold, mentions_do, regress_belief, regress_formula,
     regress_projection, regress_term,
 )
@@ -62,6 +62,23 @@ def test_regress_formula_example(discrete):
 def test_regress_formula_no_do_is_identity(discrete):
     phi = Atom("<=", Fluent("h", S0), num(9))
     assert regress_formula(discrete, phi) == phi
+
+
+def test_occurrences_at_one_situation_share_one_prefix_term(discrete):
+    sit = Situation((FWD(1), FWD(-2)))
+    phi = attach_situation(parse_formula("2 <= h and h <= 7 and not h = 5",
+                                         fluents={"h"}), sit)
+    got = regress_formula(discrete, phi)
+    # each conjunct alone mentions the situation once; sharing changes no result
+    assert got == And(tuple(regress_formula(discrete, c) for c in phi.items))
+    term = App("max", (num(0), App("-", (App("max", (num(0), App("-", (
+        Fluent("h", S0), num(1))))), num(-2)))))
+    low, high, neq = got.items
+    assert low.rhs == term
+    assert low.rhs is high.lhs is neq.body.lhs
+    doubled = regress_term(discrete, App("+", (Fluent("h", sit), Fluent("h", sit))))
+    assert doubled == App("+", (term, term))
+    assert doubled.args[0] is doubled.args[1]
 
 
 def test_regress_projection_trivia(discrete):

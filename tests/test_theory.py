@@ -100,3 +100,16 @@ def test_negative_likelihood_on_one_of_three_fluents_is_diagnosed():
     theory = parse_theory(source)
     assert any(d.startswith("sensor sa likelihood negative")
                for d in theory.diagnostics), theory.diagnostics
+
+
+def test_public_names_resolve_and_include_the_loaders():
+    import regbel
+    assert len(set(regbel.__all__)) == len(regbel.__all__)
+    for name in regbel.__all__:
+        assert getattr(regbel, name) is not None, name
+    assert {"load_theory", "bundled_theory"} <= set(regbel.__all__)
+    submodules = {"evaluate", "parser", "regression", "simplify", "syntax", "theory"}
+    assert not submodules & set(regbel.__all__)
+    namespace = {}
+    exec("from regbel import *", namespace)
+    assert namespace["bundled_theory"] is regbel.bundled_theory
